@@ -3,7 +3,7 @@
 The execution environment has no network access and an older setuptools
 without the ``bdist_wheel``-based editable-install path, so a classic
 ``setup.py`` is provided to make ``pip install -e . --no-build-isolation
---no-use-pep517`` work offline.  All real metadata lives in ``pyproject.toml``.
+--no-use-pep517`` work offline.
 """
 
 from setuptools import find_packages, setup
@@ -18,5 +18,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx"],
 )

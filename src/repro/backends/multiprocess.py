@@ -340,10 +340,9 @@ class MultiprocessBackend(CollectiveBackend):
         self._model.zero_grad()
         loss = self._task.compute_loss(self._model, batch)
         loss.backward()
-        grad_flat = flatten_gradients(self._model)
+        flatten_gradients(self._model, out=self._out.array[job_index, : self._n_gradients])
         self._model.zero_grad()
         end = perf_counter()
-        self._out.array[job_index, : self._n_gradients] = grad_flat
         pipe.send(("done", job_index, float(loss.item()), start, end))
 
     # ------------------------------------------------------------------ #

@@ -70,7 +70,11 @@ class ExecutionModel:
 
     # ------------------------------------------------------------------ #
     def bind(self, trainer) -> None:
-        """Attach the schedule to a fully constructed trainer."""
+        """Attach the schedule to a fully constructed trainer.
+
+        ``DistributedTrainer.train`` attaches it again for each run and
+        detaches it when the run ends, breaking the reference cycle.
+        """
         self.trainer = trainer
         self._post_bind()
 

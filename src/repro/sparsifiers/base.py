@@ -20,6 +20,7 @@ Two extension points cover every method in the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,7 +29,23 @@ import numpy as np
 from repro.comm.backend import CollectiveBackend
 from repro.utils.flatten import FlatSpec
 
-__all__ = ["GradientLayout", "SelectionResult", "Sparsifier"]
+__all__ = ["GradientLayout", "SelectionResult", "Sparsifier", "segment_norms"]
+
+
+def segment_norms(
+    flat: np.ndarray, bounds: Sequence[Tuple[int, int]], ord: int = 2
+) -> np.ndarray:
+    """Norms of the ``flat[start:end]`` segments of a 1-D vector.
+
+    The L2 norm of a float64 segment is ``sqrt(seg . seg)``, which is what
+    ``np.linalg.norm`` computes for a 1-D real vector, without its per-call
+    overhead; other orders and dtypes go through ``np.linalg.norm``.
+    """
+    if ord == 2 and flat.dtype == np.float64:
+        return np.array(
+            [math.sqrt(flat[a:b].dot(flat[a:b])) for a, b in bounds], dtype=np.float64
+        )
+    return np.array([np.linalg.norm(flat[a:b], ord=ord) for a, b in bounds], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -61,10 +78,7 @@ class GradientLayout:
         flat = np.asarray(flat).reshape(-1)
         if flat.size != self.total_size:
             raise ValueError(f"vector has {flat.size} elements, layout expects {self.total_size}")
-        return np.array(
-            [np.linalg.norm(flat[o : o + s], ord=ord) for o, s in zip(self.offsets, self.sizes)],
-            dtype=np.float64,
-        )
+        return segment_norms(flat, [(o, o + s) for o, s in zip(self.offsets, self.sizes)], ord=ord)
 
     @classmethod
     def from_flat_spec(cls, spec: FlatSpec) -> "GradientLayout":

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.sparsifiers.base import segment_norms
 from repro.sparsifiers.deft.partitioning import LayerPartition
 
 __all__ = ["assign_local_k", "layer_norms", "robust_layer_norms"]
@@ -22,9 +23,7 @@ __all__ = ["assign_local_k", "layer_norms", "robust_layer_norms"]
 def layer_norms(acc_flat: np.ndarray, partitions: Sequence[LayerPartition], ord: int = 2) -> np.ndarray:
     """Per-partition norms of a flat accumulator vector."""
     flat = np.asarray(acc_flat).reshape(-1)
-    return np.array(
-        [np.linalg.norm(flat[p.start : p.end], ord=ord) for p in partitions], dtype=np.float64
-    )
+    return segment_norms(flat, [(p.start, p.end) for p in partitions], ord=ord)
 
 
 def robust_layer_norms(

@@ -24,21 +24,31 @@ def gradient_layout_of(model: Module) -> List[Tuple[str, Tuple[int, ...]]]:
     return [(name, p.shape) for name, p in model.named_parameters()]
 
 
-def flatten_gradients(model: Module, zero_missing: bool = True) -> np.ndarray:
+def flatten_gradients(
+    model: Module, zero_missing: bool = True, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Concatenate all parameter gradients into one float64 vector.
 
     Parameters with no gradient contribute zeros when ``zero_missing`` is
-    true (otherwise an error is raised).
+    true (otherwise an error is raised).  The gradients are written into
+    ``out`` when it is given (a float64 vector of the model's size, reused
+    across rounds by the trainer), else into a newly allocated vector.
     """
-    chunks: List[np.ndarray] = []
+    if out is None:
+        out = np.empty(sum(p.size for p in model.parameters()), dtype=np.float64)
+    offset = 0
     for name, param in model.named_parameters():
+        segment = out[offset : offset + param.size]
         if param.grad is None:
             if not zero_missing:
                 raise RuntimeError(f"parameter {name!r} has no gradient")
-            chunks.append(np.zeros(param.size, dtype=np.float64))
+            segment[...] = 0.0
         else:
-            chunks.append(np.asarray(param.grad, dtype=np.float64).reshape(-1))
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
+            np.copyto(segment.reshape(np.shape(param.grad)), param.grad)
+        offset += param.size
+    if offset != out.size:
+        raise ValueError(f"out has {out.size} elements, the model has {offset} gradients")
+    return out
 
 
 class SGD:

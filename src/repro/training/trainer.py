@@ -393,6 +393,11 @@ class DistributedTrainer:
         ):
             self.backend.bind_compute(self.model, task, self.n_gradients)
         self._offload = bool(getattr(self.backend, "supports_compute", False))
+        # Parent-side compute writes each rank's flat gradient into that
+        # rank's buffer, overwritten by its next gradient (batch_gradients).
+        self._grad_buffers = [] if self._offload else [
+            np.empty(self.n_gradients, dtype=np.float64) for _ in range(config.n_workers)
+        ]
         self.execution.bind(self)
 
     @property
@@ -422,16 +427,17 @@ class DistributedTrainer:
     # ------------------------------------------------------------------ #
     # Algorithm-1 building blocks shared by the execution models.
     # ------------------------------------------------------------------ #
-    def worker_gradient(self, rank: int, batch) -> tuple:
+    def worker_gradient(self, rank: int, batch, out: Optional[np.ndarray] = None) -> tuple:
         """Loss and flat gradient of one worker's batch on the current model.
 
         Execution models with diverging local parameters load the worker's
-        copy into the shared model before calling this.
+        copy into the shared model before calling this.  The gradient is
+        written into ``out`` when given, else into a new vector.
         """
         self.model.zero_grad()
         loss = self.task.compute_loss(self.model, batch)
         loss.backward()
-        grad_flat = flatten_gradients(self.model)
+        grad_flat = flatten_gradients(self.model, out=out)
         self.model.zero_grad()
         return float(loss.item()), grad_flat
 
@@ -446,15 +452,22 @@ class DistributedTrainer:
         whether the work ran parent-side or on the backend's worker
         processes (parameters round-trip float32→float64→float32 exactly,
         so the arithmetic is the same stream of operations either way).
+
+        A returned gradient is valid for one round: it may be the rank's
+        reused buffer, which the rank's next gradient overwrites.  A rank
+        that appears twice in one call gets a fresh vector the second time.
         """
         if self._offload and jobs:
             return self.backend.compute_gradients(jobs)
         results = []
+        seen = set()
         for rank, params, batch in jobs:
             if params is not None:
                 load_flat_parameters(self.model, params)
+            out = None if rank in seen else self._grad_buffers[rank]
+            seen.add(rank)
             start = time.perf_counter()
-            loss_value, grad_flat = self.worker_gradient(rank, batch)
+            loss_value, grad_flat = self.worker_gradient(rank, batch, out=out)
             results.append((loss_value, grad_flat, start, time.perf_counter()))
         return results
 
@@ -823,9 +836,15 @@ class DistributedTrainer:
 
     def train(self) -> TrainingResult:
         """Run the configured schedule over all epochs and return the result."""
+        # The schedule holds its trainer only while it runs: the
+        # back-reference is a cycle, and dropping it when the run ends lets
+        # a finished trainer and its per-rank buffers be freed by refcount
+        # instead of waiting for a full garbage collection.
+        self.execution.trainer = self
         try:
             last_summary = self.execution.run()
         finally:
+            self.execution.trainer = None
             # A trainer-built backend owns real resources (worker
             # processes, shared-memory segments); release them even when a
             # schedule raises.  The traffic meter outlives the close --

@@ -23,6 +23,21 @@ class TestLayerNorms:
         np.testing.assert_allclose(norms[0], np.linalg.norm(flat[:4]))
         np.testing.assert_allclose(norms[1], np.linalg.norm(flat[4:]))
 
+    def test_l2_norms_equal_numpy_exactly(self):
+        rng = np.random.default_rng(5)
+        sizes = [int(s) for s in rng.integers(0, 400, size=60)]
+        partitions = make_partitions(sizes)
+        layout = GradientLayout.from_named_shapes([(f"l{i}", (s,)) for i, s in enumerate(sizes)])
+        for scale in (1e-12, 1.0, 1e6):
+            flat = rng.standard_normal(sum(sizes)) * scale
+            expected = [np.linalg.norm(flat[p.start : p.end]) for p in partitions]
+            assert layer_norms(flat, partitions).tolist() == expected
+            expected = [np.linalg.norm(flat[o : o + n]) for o, n in zip(layout.offsets, layout.sizes)]
+            assert layout.layer_norms(flat).tolist() == expected
+            single = flat.astype(np.float32)
+            expected = [float(np.linalg.norm(single[p.start : p.end])) for p in partitions]
+            assert layer_norms(single, partitions).tolist() == expected
+
 
 class TestAssignLocalK:
     def test_total_close_to_budget(self):

@@ -82,6 +82,92 @@ class TestErrorFeedbackMemory:
             ErrorFeedbackMemory(0)
 
 
+class TestErrorFeedbackBuffers:
+    """accumulate/update reuse two vectors owned by the memory."""
+
+    def test_accumulate_reuses_one_buffer_bitwise(self):
+        rng = np.random.default_rng(2)
+        memory = ErrorFeedbackMemory(64)
+        memory.update(rng.standard_normal(64), np.array([3, 9]))
+        buffers = set()
+        for dtype in (np.float64, np.float32):
+            grad = rng.standard_normal(64).astype(dtype)
+            expected = memory.error + 0.3 * np.asarray(grad, dtype=np.float64)
+            acc = memory.accumulate(grad, lr=0.3)
+            buffers.add(id(acc))
+            assert acc.tobytes() == expected.tobytes()
+            memory.update(rng.standard_normal(64), np.array([1]))
+        assert len(buffers) == 1
+
+    def test_update_same_for_own_buffer_and_outside_array(self):
+        rng = np.random.default_rng(3)
+        own, outside = ErrorFeedbackMemory(32), ErrorFeedbackMemory(32)
+        for _ in range(4):
+            grad = rng.standard_normal(32)
+            selected = rng.choice(32, size=5, replace=False)
+            own_acc = own.accumulate(grad, lr=0.1)
+            outside_acc = outside.accumulate(grad, lr=0.1).copy()
+            assert own_acc.tobytes() == outside_acc.tobytes()
+            own.update(own_acc, selected)
+            outside.update(outside_acc, selected)
+            assert own.error.tobytes() == outside.error.tobytes()
+        # The copied-in array is left untouched.
+        assert np.count_nonzero(outside_acc) == 32
+
+    def test_checkpoint_roundtrip_after_swaps(self, tmp_path, smoke_lm_task):
+        from repro.sparsifiers import build_sparsifier
+        from repro.training.checkpoints import load_checkpoint, save_checkpoint
+        from repro.training.trainer import DistributedTrainer, TrainingConfig
+
+        def make():
+            config = TrainingConfig(n_workers=2, batch_size=8, epochs=1, lr=0.2, seed=0,
+                                    max_iterations_per_epoch=3, evaluate_each_epoch=False)
+            return DistributedTrainer(smoke_lm_task, build_sparsifier("deft", 0.05), config)
+
+        trainer = make()
+        trainer.train()
+        path = save_checkpoint(trainer, tmp_path / "swapped")
+        resumed = make()
+        load_checkpoint(resumed, path)
+        for a, b in zip(trainer.memories, resumed.memories):
+            assert a.error.tobytes() == b.error.tobytes()
+        # The loaded error feeds the next accumulation like the original.
+        grad = np.ones(trainer.n_gradients)
+        for a, b in zip(trainer.memories, resumed.memories):
+            assert a.accumulate(grad, 0.5).tobytes() == b.accumulate(grad, 0.5).tobytes()
+        reference = make()
+        load_checkpoint(reference, path)
+        reference.train()
+        resumed.train()
+        for a, b in zip(reference.memories, resumed.memories):
+            assert a.error.tobytes() == b.error.tobytes()
+
+    def test_round_allocates_less_than_one_vector(self):
+        import tracemalloc
+
+        model = MLP(in_features=300, hidden_sizes=(300,), num_classes=30, rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).standard_normal((8, 300)).astype(np.float32))
+        F.cross_entropy(model(x), np.arange(8)).backward()
+        n_gradients = model.num_parameters()
+        assert n_gradients > 90_000
+        memory = ErrorFeedbackMemory(n_gradients)
+        grad = np.empty(n_gradients)
+        selected = np.arange(0, n_gradients, 1000)
+        flatten_gradients(model, out=grad)
+        memory.update(memory.accumulate(grad, 0.1), selected)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            baseline, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                flatten_gradients(model, out=grad)
+                memory.update(memory.accumulate(grad, 0.1), selected)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < grad.nbytes // 10
+
+
 class TestSGD:
     def _model(self):
         return MLP(in_features=4, hidden_sizes=(6,), num_classes=3, rng=np.random.default_rng(0))
@@ -145,6 +231,16 @@ class TestSGD:
         assert np.all(flat == 0)
         with pytest.raises(RuntimeError):
             flatten_gradients(model, zero_missing=False)
+
+    def test_flatten_gradients_into_buffer_matches_allocating_call(self):
+        model = self._model()
+        x = Tensor(np.random.default_rng(4).standard_normal((5, 4)).astype(np.float32))
+        F.cross_entropy(model(x), np.array([0, 1, 2, 0, 1])).backward()
+        buffer = np.full(model.num_parameters(), np.nan)
+        assert flatten_gradients(model, out=buffer) is buffer
+        assert buffer.tobytes() == flatten_gradients(model).tobytes()
+        with pytest.raises(ValueError):
+            flatten_gradients(model, out=np.empty(model.num_parameters() + 1))
 
     def test_gradient_layout_of(self):
         layout = gradient_layout_of(self._model())

@@ -167,3 +167,49 @@ class TestCommunicationAccounting:
         topk_values = trainer_topk.backend.meter.total_sent(tag="values")
         deft_values = trainer_deft.backend.meter.total_sent(tag="values")
         assert topk_values > deft_values
+
+
+class TestGradientBuffers:
+    def test_batch_gradients_reuse_rank_buffers(self, smoke_lm_task):
+        trainer, _ = run_short(smoke_lm_task, "topk", 0.05, iterations=1)
+        batches = [next(iter(loader)) for loader in trainer.loaders]
+        first = trainer.batch_gradients([(rank, None, batches[rank]) for rank in range(2)])
+        second = trainer.batch_gradients([(rank, None, batches[rank]) for rank in range(2)])
+        for (_, a, _, _), (_, b, _, _) in zip(first, second):
+            assert a is b
+
+    def test_repeated_rank_in_one_call_gets_its_own_gradient(self, smoke_lm_task):
+        trainer, _ = run_short(smoke_lm_task, "topk", 0.05, iterations=1)
+        batches = [next(iter(loader)) for loader in trainer.loaders]
+        separate = [
+            trainer.batch_gradients([(0, None, batch)])[0][1].copy() for batch in batches
+        ]
+        together = trainer.batch_gradients([(0, None, batch) for batch in batches])
+        assert together[0][1] is not together[1][1]
+        for expected, (_, grad, _, _) in zip(separate, together):
+            assert grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "execution", ["synchronous", "async_bsp", "local_sgd", "elastic", "gossip"]
+)
+def test_finished_trainer_is_freed_without_gc(smoke_lm_task, execution):
+    """The schedule drops its trainer when train() returns, so no reference
+    cycle keeps a finished trainer (and its per-rank buffers) alive."""
+    import gc
+    import weakref
+
+    config = TrainingConfig(
+        n_workers=2, batch_size=8, epochs=1, seed=0, max_iterations_per_epoch=2,
+        evaluate_each_epoch=False, execution=execution,
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        trainer = DistributedTrainer(smoke_lm_task, build_sparsifier("deft", 0.05), config)
+        trainer.train()
+        alive = weakref.ref(trainer)
+        del trainer
+        assert alive() is None
+    finally:
+        gc.enable()
